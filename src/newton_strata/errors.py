@@ -64,3 +64,16 @@ class RangeError(SlopeDataError):
 
 class SlopesDoNotPair(SlopeDataError):
     """Conjugate place slopes do not sum to 1."""
+
+
+def require_int(value, label: str, minimum: int | None = None) -> int:
+    """Return ``value`` if it is an int (never a bool) and at least ``minimum``.
+
+    Otherwise raise :class:`SchemaError` with ``"{label}, got {value!r}"``, so
+    ``label`` states the requirement, e.g. ``"d must be a positive integer"``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        minimum is not None and value < minimum
+    ):
+        raise SchemaError(f"{label}, got {value!r}")
+    return value

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import NotCM, NotSymmetric, PreconditionNotHypersymmetric, SchemaError
+from .errors import NotCM, NotSymmetric, PreconditionNotHypersymmetric, SchemaError, require_int
 from .pel import INERT, SPLIT, PELSlopeDatum, condition_star
 from .polygon import Fraction, NewtonPolygon
 
@@ -154,8 +154,7 @@ def is_zeta_B(datum: PELSlopeDatum, brauer_order: int) -> bool:
 
     The Brauer-class order is a caller input, never computed here.
     """
-    if isinstance(brauer_order, bool) or not isinstance(brauer_order, int) or brauer_order < 1:
-        raise SchemaError(f"brauer_order must be a positive integer, got {brauer_order!r}")
+    require_int(brauer_order, "brauer_order must be a positive integer", 1)
     target = NewtonPolygon(((Fraction(1, 2), brauer_order),))
     return all(poly == target for _, poly in datum.polygons)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import SchemaError, require_int
 from .pel import PELSlopeDatum, PlaceTower, _check_name, _expect_keys
 from .polygon import NewtonPolygon
 
@@ -26,9 +26,9 @@ class Orbit:
         object.__setattr__(self, "f_values", tuple(self.f_values))
         if not self.f_values:
             raise SchemaError(f"orbit {self.name}: needs at least one value")
+        label = f"orbit {self.name}: values must be integers"
         for v in self.f_values:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise SchemaError(f"orbit {self.name}: values must be integers, got {v!r}")
+            require_int(v, label)
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,7 @@ class SignatureDatum:
     orbits: tuple[Orbit, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
-            raise SchemaError(f"d must be a positive integer, got {self.d!r}")
+        require_int(self.d, "d must be a positive integer", 1)
         object.__setattr__(self, "orbits", tuple(self.orbits))
         if not self.orbits:
             raise SchemaError("at least one orbit required")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import NonIntegralMultiplicity, NotCM, SchemaError, SlopeDataError
+from .errors import NonIntegralMultiplicity, NotCM, SchemaError, SlopeDataError, require_int
 from .polygon import NewtonPolygon
 
 INERT = "inert"
@@ -254,8 +254,7 @@ def multiplicity_from_dims(
         ("local_degree", local_degree),
         ("b_rank_sqrt", b_rank_sqrt),
     ):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise SchemaError(f"{label} must be a positive integer, got {value!r}")
+        require_int(value, f"{label} must be a positive integer", 1)
     denom = local_degree * b_rank_sqrt
     quotient, remainder = divmod(dim_component, denom)
     if remainder:

@@ -24,6 +24,7 @@ from .errors import (
     PeriodMismatch,
     SchemaError,
     SlopeOutOfRange,
+    require_int,
 )
 
 # A slope is just a Fraction that has passed as_slope().
@@ -86,8 +87,7 @@ class NewtonPolygon:
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"polygon part must be a (slope, mult) pair: {entry!r}") from exc
             slope = as_slope(raw_slope)
-            if isinstance(mult, bool) or not isinstance(mult, int):
-                raise SchemaError(f"multiplicity must be an integer, got {mult!r}")
+            require_int(mult, "multiplicity must be an integer")
             if mult < 1:
                 raise NonPositiveMultiplicity(f"multiplicity {mult} for slope {slope}")
             merged[slope] = merged.get(slope, 0) + mult
@@ -223,8 +223,7 @@ def newton_point_average(
         sigma
     ) != list(range(n)):
         raise SchemaError(f"sigma must be a permutation of 0..{n - 1}")
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise SchemaError(f"period r must be a positive integer, got {r!r}")
+    require_int(r, "period r must be a positive integer", 1)
 
     def apply(v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         return tuple(v[sigma[i]] for i in range(n))

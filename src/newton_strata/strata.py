@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import BoundExceeded, MixedEndpoints, NoUniqueExtreme, RangeError, SchemaError
+from .errors import (
+    BoundExceeded,
+    MixedEndpoints,
+    NoUniqueExtreme,
+    RangeError,
+    SchemaError,
+    require_int,
+)
 from .polygon import EMPTY, NewtonPolygon, path_value
 
 DEFAULT_MAX_G = 12
@@ -45,12 +52,6 @@ class StrataPoset:
         return (i, j) in self.relation
 
 
-def _require_nonneg_int(value, label: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise SchemaError(f"{label} must be a nonnegative integer, got {value!r}")
-    return value
-
-
 def enumerate_siegel(g: int, max_g: int = DEFAULT_MAX_G) -> list[NewtonPolygon]:
     """All self-dual polygons of height 2g, dim g with integral breakpoints.
 
@@ -60,7 +61,7 @@ def enumerate_siegel(g: int, max_g: int = DEFAULT_MAX_G) -> list[NewtonPolygon]:
     slope 1/2.  Output is deduplicated and in canonical order: lexicographic
     on breakpoint lists, refined to a minimal-first topological order.
     """
-    _require_nonneg_int(g, "g")
+    require_int(g, "g must be a nonnegative integer", 0)
     if g > max_g:
         raise BoundExceeded(f"g={g} exceeds the configured bound {max_g}")
     if g == 0:
@@ -199,9 +200,8 @@ def bueltel_wedhorn(n: int, r: int, scaling: str = LITERAL) -> NewtonPolygon:
     reading under which the family has three equal-multiplicity slopes when
     n = 3r (r even) or n = 4r (r odd).
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise SchemaError(f"n must be a positive integer, got {n!r}")
-    _require_nonneg_int(r, "r")
+    require_int(n, "n must be a positive integer", 1)
+    require_int(r, "r must be a nonnegative integer", 0)
     if scaling not in (LITERAL, TIMES_R):
         raise SchemaError(f"scaling must be '{LITERAL}' or '{TIMES_R}', got {scaling!r}")
     if 2 * r > n:

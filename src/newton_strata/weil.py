@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import SchemaError, SlopesDoNotPair
+from .errors import SchemaError, SlopesDoNotPair, require_int
 from .pel import _check_name, _expect_keys
 from .polygon import as_slope, format_slope, parse_slope
 
@@ -27,9 +27,7 @@ class CMPlaceSlopes:
     class_number_h: int
 
     def __post_init__(self) -> None:
-        h = self.class_number_h
-        if isinstance(h, bool) or not isinstance(h, int) or h < 1:
-            raise SchemaError(f"class number must be a positive integer, got {h!r}")
+        require_int(self.class_number_h, "class number must be a positive integer", 1)
         object.__setattr__(self, "pairs", tuple(self.pairs))
         if not self.pairs:
             raise SchemaError("at least one place pair required")
@@ -93,8 +91,7 @@ def weil_parameters(slopes: CMPlaceSlopes, scale: int = 1) -> WeilExponents:
     denominator (the minimal "sufficiently divisible" choice), times the
     optional ``scale`` factor; scaling c leaves every ratio fixed.
     """
-    if isinstance(scale, bool) or not isinstance(scale, int) or scale < 1:
-        raise SchemaError(f"scale must be a positive integer, got {scale!r}")
+    require_int(scale, "scale must be a positive integer", 1)
     denominators = [s.denominator for _, _, s in slopes.pairs]
     c = lcm(2, *denominators) * scale
     per_pair = []
