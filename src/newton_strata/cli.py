@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import hypersym, muord, pel, strata, weil
 from .errors import SchemaError, SlopeDataError
@@ -26,78 +26,27 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="newton-strata", description=__doc__, add_help=True)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, *, takes_input: bool = True) -> argparse.ArgumentParser:
-        p = sub.add_parser(name)
-        p.set_defaults(takes_input=takes_input)
-        if takes_input:
-            p.add_argument("--input", default=None, help="input file (default: stdin)")
-        p.add_argument("--format", choices=[JSON, TEXT], default=JSON)
-        return p
-
-    p = add("check-balanced")
-    p.add_argument("--brauer", type=int, default=None,
-                   help="also test for the all-(1/2) polygon of this Brauer order")
-    add("check-symmetric")
-    add("check-star")
-    add("verdict")
-    add("restrict")
-    add("transfer")
-    add("hypotheses")
-    add("muord")
-    p = add("poset", takes_input=False)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--dot", action="store_true")
-    p = add("bw", takes_input=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--scaling", choices=[strata.LITERAL, strata.TIMES_R],
-                   default=strata.LITERAL)
-    add("weil")
-    return parser
-
-
-def execute(argv: Sequence[str], stdin: bytes | Callable[[], bytes] = b"") -> tuple[int, bytes]:
-    """Run one invocation; returns (exit_code, output_bytes)."""
-    try:
-        args = _build_parser().parse_args(list(argv))
-        input_bytes = b""
-        if getattr(args, "takes_input", False):
-            if args.input is not None:
-                try:
-                    with open(args.input, "rb") as fh:
-                        input_bytes = fh.read()
-                except OSError as exc:
-                    raise SchemaError(f"cannot read input: {exc}") from exc
-            else:
-                input_bytes = stdin() if callable(stdin) else stdin
-        result, text = _dispatch(args, input_bytes)
-        if result is None or args.format == TEXT:
-            return 0, text.encode()
-        payload = {
-            "command": args.command,
-            "input_digest": hashlib.sha256(input_bytes).hexdigest(),
-            "result": result,
-        }
-        return 0, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
-    except SlopeDataError as exc:
-        return 2, f"error: {exc}\n".encode()
-    except Exception as exc:  # noqa: BLE001 - contract: any other escape is a bug
-        return 1, f"internal error: {type(exc).__name__}: {exc}\n".encode()
-
-
-def _parse_datum(input_bytes: bytes) -> pel.PELSlopeDatum:
-    return pel.PELSlopeDatum.from_json(_parse_json(input_bytes))
-
-
 def _parse_json(input_bytes: bytes):
     try:
         return json.loads(input_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
+
+
+def _datum(obj) -> pel.PELSlopeDatum:
+    return pel.PELSlopeDatum.from_json(obj)
+
+
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _key_values(result: dict) -> str:
+    """One ``key: value`` line per entry, booleans as true/false."""
+    return "".join(
+        f"{key}: {_bool(value) if isinstance(value, bool) else value}\n"
+        for key, value in result.items()
+    )
 
 
 def _datum_text(datum: pel.PELSlopeDatum) -> str:
@@ -106,111 +55,172 @@ def _datum_text(datum: pel.PELSlopeDatum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+def _verdict_text(verdict: hypersym.HypVerdict) -> str:
+    lines = [f"level: {verdict.level.value}"]
+    components = verdict.witness.components if verdict.witness else ()
+    for i, comp in enumerate(components, start=1):
+        lines.append(f"component {i}:")
+        lines += [f"  {name}: {poly.exponent_str()}" for name, poly in comp.polygons]
+    return "\n".join(lines) + "\n"
 
 
-def _dispatch(args, input_bytes: bytes):
-    """Returns (json_result, text_rendering)."""
-    cmd = args.command
+def _check_balanced(args, datum: pel.PELSlopeDatum) -> dict:
+    result = {"balanced": hypersym.is_balanced(datum)}
+    if args.brauer is not None:
+        result["zeta_b"] = hypersym.is_zeta_B(datum, args.brauer)
+    return result
 
-    if cmd == "check-balanced":
-        datum = _parse_datum(input_bytes)
-        result = {"balanced": hypersym.is_balanced(datum)}
-        lines = [f"balanced: {_bool(result['balanced'])}"]
-        if args.brauer is not None:
-            result["zeta_b"] = hypersym.is_zeta_B(datum, args.brauer)
-            lines.append(f"zeta_b: {_bool(result['zeta_b'])}")
-        return result, "\n".join(lines) + "\n"
 
-    if cmd == "check-symmetric":
-        datum = _parse_datum(input_bytes)
-        value = hypersym.is_B_symmetric(datum)
-        return {"symmetric": value}, f"symmetric: {_bool(value)}\n"
+def _hypotheses(args, datum: pel.PELSlopeDatum) -> dict:
+    report = hypersym.theorem_checklist(datum)
+    return {
+        "hypersymmetric": report.hypersymmetric,
+        "branch": report.branch.value,
+        "satisfied": report.satisfied,
+    }
 
-    if cmd == "check-star":
-        datum = _parse_datum(input_bytes)
-        value = pel.condition_star(datum)
-        return {"condition_star": value}, f"condition_star: {_bool(value)}\n"
 
-    if cmd == "verdict":
-        datum = _parse_datum(input_bytes)
-        verdict = hypersym.hypersymmetric_verdict(datum)
-        result = hypersym.verdict_to_json(verdict)
-        lines = [f"level: {verdict.level.value}"]
-        components = verdict.witness.components if verdict.witness else ()
-        for i, comp in enumerate(components, start=1):
-            lines.append(f"component {i}:")
-            lines += [f"  {name}: {poly.exponent_str()}" for name, poly in comp.polygons]
-        return result, "\n".join(lines) + "\n"
+def _poset(args, _):
+    poset = strata.build_poset(strata.enumerate_siegel(args.g))
+    return strata.to_dot(poset) if args.dot else poset
 
-    if cmd == "restrict":
-        restricted = pel.restrict(_parse_datum(input_bytes))
-        return restricted.to_json(), _datum_text(restricted)
 
-    if cmd == "transfer":
-        value = hypersym.subfield_transfer(_parse_datum(input_bytes))
-        return {"transfer": value.value}, f"transfer: {value.value}\n"
+def _poset_json(poset: strata.StrataPoset) -> dict:
+    return {
+        "nodes": [node.to_json() for node in poset.nodes],
+        "cover_edges": [list(edge) for edge in poset.cover_edges],
+        "basic_index": poset.basic_index,
+        "ordinary_index": poset.ordinary_index,
+    }
 
-    if cmd == "hypotheses":
-        report = hypersym.theorem_checklist(_parse_datum(input_bytes))
-        result = {
-            "hypersymmetric": report.hypersymmetric,
-            "branch": report.branch.value,
-            "satisfied": report.satisfied,
+
+def _poset_text(poset: strata.StrataPoset) -> str:
+    lines = [f"nodes: {len(poset.nodes)}"]
+    lines += [f"n{i}: {node.exponent_str()}" for i, node in enumerate(poset.nodes)]
+    lines.append(f"basic: n{poset.basic_index}")
+    lines.append(f"ordinary: n{poset.ordinary_index}")
+    lines += [f"cover: n{a} -> n{b}" for a, b in poset.cover_edges]
+    return "\n".join(lines) + "\n"
+
+
+def _weil_text(result: dict) -> str:
+    lines = [f"a: {result['a']}", f"c: {result['c']}"]
+    lines += [
+        f"{entry['w']}/{entry['wbar']}: m={entry['m']} n={entry['n']} "
+        f"inert_compatible={_bool(entry['inert_compatible'])}"
+        for entry in result["per_pair"]
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class _Command(NamedTuple):
+    """``read`` builds the input from its JSON (None: no input); ``compute(args,
+    input)`` returns the value to render, or finished output text (DOT).
+
+    Library functions are looked up through their module on every call, so a
+    monkeypatched or traced module attribute sees the call.
+    """
+
+    read: Callable | None
+    compute: Callable
+    to_json: Callable = lambda value: value
+    to_text: Callable = _key_values
+    arguments: tuple = ()  # (flag, add_argument keywords) pairs
+
+
+COMMANDS = {
+    "check-balanced": _Command(_datum, _check_balanced, arguments=(
+        ("--brauer", {"type": int, "default": None,
+                      "help": "also test for the all-(1/2) polygon of this Brauer order"}),
+    )),
+    "check-symmetric": _Command(
+        _datum, lambda args, datum: {"symmetric": hypersym.is_B_symmetric(datum)}),
+    "check-star": _Command(
+        _datum, lambda args, datum: {"condition_star": pel.condition_star(datum)}),
+    "verdict": _Command(
+        _datum, lambda args, datum: hypersym.hypersymmetric_verdict(datum),
+        lambda verdict: hypersym.verdict_to_json(verdict), _verdict_text),
+    "restrict": _Command(
+        _datum, lambda args, datum: pel.restrict(datum),
+        lambda restricted: restricted.to_json(), _datum_text),
+    "transfer": _Command(
+        _datum, lambda args, datum: {"transfer": hypersym.subfield_transfer(datum).value}),
+    "hypotheses": _Command(_datum, _hypotheses),
+    "muord": _Command(
+        lambda obj: muord.SignatureDatum.from_json(obj),
+        lambda args, sig: muord.mu_ordinary(sig),
+        lambda polys: {
+            "polygons": [{"name": n, "polygon": p.to_json()} for n, p in polys.items()]
+        },
+        lambda polys: "".join(f"{n}: {p.exponent_str()}\n" for n, p in polys.items())),
+    "poset": _Command(None, _poset, _poset_json, _poset_text, arguments=(
+        ("--g", {"type": int, "required": True}),
+        ("--dot", {"action": "store_true"}),
+    )),
+    "bw": _Command(
+        None, lambda args, _: strata.bueltel_wedhorn(args.n, args.r, args.scaling),
+        lambda poly: {"polygon": poly.to_json()}, lambda poly: poly.exponent_str() + "\n",
+        arguments=(
+            ("--n", {"type": int, "required": True}),
+            ("--r", {"type": int, "required": True}),
+            ("--scaling", {"choices": [strata.LITERAL, strata.TIMES_R],
+                           "default": strata.LITERAL}),
+        )),
+    "weil": _Command(
+        lambda obj: weil.CMPlaceSlopes.from_json(obj),
+        lambda args, slopes: weil.exponents_to_json(slopes, weil.weil_parameters(slopes)),
+        to_text=_weil_text),
+}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="newton-strata", description=__doc__, add_help=True)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name)
+        if command.read is not None:
+            p.add_argument("--input", default=None, help="input file (default: stdin)")
+        p.add_argument("--format", choices=[JSON, TEXT], default=JSON)
+        for flag, kwargs in command.arguments:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def execute(argv: Sequence[str], stdin: bytes | Callable[[], bytes] = b"") -> tuple[int, bytes]:
+    """Run one invocation; returns (exit_code, output_bytes)."""
+    try:
+        args = _PARSER.parse_args(list(argv))
+        command = COMMANDS[args.command]
+        input_bytes = b""
+        parsed = None
+        if command.read is not None:
+            if args.input is not None:
+                try:
+                    with open(args.input, "rb") as fh:
+                        input_bytes = fh.read()
+                except OSError as exc:
+                    raise SchemaError(f"cannot read input: {exc}") from exc
+            else:
+                input_bytes = stdin() if callable(stdin) else stdin
+            parsed = command.read(_parse_json(input_bytes))
+        value = command.compute(args, parsed)
+        if isinstance(value, str):
+            return 0, value.encode()
+        if args.format == TEXT:
+            return 0, command.to_text(value).encode()
+        payload = {
+            "command": args.command,
+            "input_digest": hashlib.sha256(input_bytes).hexdigest(),
+            "result": command.to_json(value),
         }
-        text = (
-            f"hypersymmetric: {_bool(report.hypersymmetric)}\n"
-            f"branch: {report.branch.value}\n"
-            f"satisfied: {_bool(report.satisfied)}\n"
-        )
-        return result, text
-
-    if cmd == "muord":
-        sig = muord.SignatureDatum.from_json(_parse_json(input_bytes))
-        polys = muord.mu_ordinary(sig)
-        result = {
-            "polygons": [
-                {"name": o.name, "polygon": polys[o.name].to_json()} for o in sig.orbits
-            ]
-        }
-        text = "".join(f"{o.name}: {polys[o.name].exponent_str()}\n" for o in sig.orbits)
-        return result, text
-
-    if cmd == "poset":
-        poset = strata.build_poset(strata.enumerate_siegel(args.g))
-        if args.dot:
-            return None, strata.to_dot(poset)
-        result = {
-            "nodes": [node.to_json() for node in poset.nodes],
-            "cover_edges": [list(edge) for edge in poset.cover_edges],
-            "basic_index": poset.basic_index,
-            "ordinary_index": poset.ordinary_index,
-        }
-        lines = [f"nodes: {len(poset.nodes)}"]
-        lines += [f"n{i}: {node.exponent_str()}" for i, node in enumerate(poset.nodes)]
-        lines.append(f"basic: n{poset.basic_index}")
-        lines.append(f"ordinary: n{poset.ordinary_index}")
-        lines += [f"cover: n{a} -> n{b}" for a, b in poset.cover_edges]
-        return result, "\n".join(lines) + "\n"
-
-    if cmd == "bw":
-        poly = strata.bueltel_wedhorn(args.n, args.r, args.scaling)
-        return {"polygon": poly.to_json()}, poly.exponent_str() + "\n"
-
-    if cmd == "weil":
-        slopes = weil.CMPlaceSlopes.from_json(_parse_json(input_bytes))
-        exponents = weil.weil_parameters(slopes)
-        result = weil.exponents_to_json(slopes, exponents)
-        lines = [f"a: {exponents.a}", f"c: {exponents.c}"]
-        for entry in result["per_pair"]:
-            lines.append(
-                f"{entry['w']}/{entry['wbar']}: m={entry['m']} n={entry['n']} "
-                f"inert_compatible={_bool(entry['inert_compatible'])}"
-            )
-        return result, "\n".join(lines) + "\n"
-
-    raise SchemaError(f"unknown command {cmd!r}")
+        return 0, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    except SlopeDataError as exc:
+        return 2, f"error: {exc}\n".encode()
+    except Exception as exc:  # noqa: BLE001 - contract: any other escape is a bug
+        return 1, f"internal error: {type(exc).__name__}: {exc}\n".encode()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
