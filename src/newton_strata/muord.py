@@ -69,20 +69,21 @@ class SignatureDatum:
 
 
 def mu_ordinary(sig: SignatureDatum) -> dict[str, NewtonPolygon]:
-    """Per-orbit slopes of the maximal stratum.
+    """Per-orbit slopes of the maximal stratum, keyed by orbit name in orbit order.
 
-    The j-th slope (j = 1..d) is the fraction of the orbit's values exceeding
-    d - j; the values are weakly increasing in j, and equal values collapse
-    into one part.  Each orbit's polygon has height exactly d.
+    The j-th slope (j = 1..d) is the fraction of the orbit's n values exceeding
+    d - j.  With the values sorted as w_1 >= ... >= w_n, w_0 = d and
+    w_{n+1} = 0, that fraction is k/n for exactly w_k - w_{k+1} values of j,
+    so the polygon is read off the gaps in O(n log n), independent of d.
+    Each orbit's polygon has height exactly d.
     """
     result: dict[str, NewtonPolygon] = {}
     for orbit in sig.orbits:
         size = len(orbit.f_values)
-        slopes = [
-            Fraction(sum(1 for v in orbit.f_values if v > sig.d - j), size)
-            for j in range(1, sig.d + 1)
-        ]
-        result[orbit.name] = NewtonPolygon(tuple((s, 1) for s in slopes))
+        w = [sig.d, *sorted(orbit.f_values, reverse=True), 0]
+        result[orbit.name] = NewtonPolygon(
+            tuple((Fraction(k, size), w[k] - w[k + 1]) for k in range(size + 1) if w[k] > w[k + 1])
+        )
     return result
 
 

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from newton_strata import EMPTY, NewtonPolygon, PELSlopeDatum, PlaceTower
+from newton_strata import EMPTY, NewtonPolygon, PELSlopeDatum, PlaceTower, SignatureDatum
 
 
 def _surjections(n_items: int, k: int):
@@ -50,6 +50,23 @@ def _assignment_balanced(polys, assignment, k: int) -> bool:
         if len(sizes) != 1 or len(mults) != 1:
             return False
     return True
+
+
+def mu_ordinary_by_slopes(sig: SignatureDatum) -> dict[str, NewtonPolygon]:
+    """The mu-ordinary counting formula evaluated slope by slope, in O(d * n).
+
+    The j-th slope (j = 1..d) is the fraction of the orbit's values exceeding
+    d - j; equal slopes merge in the constructor.
+    """
+    result = {}
+    for orbit in sig.orbits:
+        size = len(orbit.f_values)
+        slopes = [
+            Fraction(sum(1 for v in orbit.f_values if v > sig.d - j), size)
+            for j in range(1, sig.d + 1)
+        ]
+        result[orbit.name] = NewtonPolygon(tuple((s, 1) for s in slopes))
+    return result
 
 
 def lattice_path_polygons(g: int) -> set[NewtonPolygon]:

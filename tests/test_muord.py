@@ -18,6 +18,7 @@ from newton_strata import (
     mu_ordinary,
 )
 from newton_strata.errors import SchemaError
+from oracles import mu_ordinary_by_slopes
 
 P = NewtonPolygon
 
@@ -52,6 +53,25 @@ def test_counting_formula_directly():
     # one orbit of size 2 with values (0, 4) at d=4 averages to all-1/2
     polys = mu_ordinary(sig(4, (0, 4)))
     assert polys["o0"] == P([("1/2", 4)])
+
+
+def test_large_d_is_read_off_the_gaps():
+    s = SignatureDatum.from_json({"d": 3000000, "orbits": [{"name": "o", "f": [1]}]})
+    assert mu_ordinary(s) == {"o": P([(0, 2999999), (1, 1)])}
+
+
+def test_gaps_match_slope_by_slope_oracle():
+    rng = random.Random(271_828)
+    for _ in range(3000):
+        d = rng.randint(1, 30)
+        orbits = [
+            tuple(rng.randint(0, d) for _ in range(rng.randint(1, 6)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        s = sig(d, *orbits)
+        got = mu_ordinary(s)
+        assert got == mu_ordinary_by_slopes(s)
+        assert list(got) == [o.name for o in s.orbits]
 
 
 # -- structural properties -------------------------------------------------------
