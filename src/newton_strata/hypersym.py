@@ -68,13 +68,13 @@ class HypothesisReport:
 
 
 def is_balanced(datum: PELSlopeDatum) -> bool:
-    """Same slope count at every place and one common multiplicity throughout."""
-    polys = [p for _, p in datum.polygons]
-    counts = {len(p.parts) for p in polys}
-    if len(counts) != 1 or counts == {0}:
+    """Same slope count at every place and one common multiplicity throughout.
+
+    Balanced data is symmetric with a single multiplicity value.
+    """
+    if not is_B_symmetric(datum):
         return False
-    mults = {m for p in polys for m in p.multiplicities()}
-    return len(mults) == 1
+    return len({m for _, p in datum.polygons for m in p.multiplicities()}) == 1
 
 
 def is_B_symmetric(datum: PELSlopeDatum) -> bool:
@@ -141,12 +141,19 @@ def subfield_transfer(datum: PELSlopeDatum) -> TransferVerdict:
         raise PreconditionNotHypersymmetric(
             "datum admits no hypersymmetric point; nothing to transfer"
         )
+    if _splitting_branch(datum) is SplittingBranch.FAILS:
+        return TransferVerdict.UNKNOWN
+    return TransferVerdict.TRANSFERS
+
+
+def _splitting_branch(datum: PELSlopeDatum) -> SplittingBranch:
+    """All places inert, or all split with condition (*), or neither."""
     kinds = {bp.kind for bp in datum.tower.base_places}
     if kinds == {INERT}:
-        return TransferVerdict.TRANSFERS
+        return SplittingBranch.INERT
     if kinds == {SPLIT} and condition_star(datum):
-        return TransferVerdict.TRANSFERS
-    return TransferVerdict.UNKNOWN
+        return SplittingBranch.SPLIT_WITH_STAR
+    return SplittingBranch.FAILS
 
 
 def is_zeta_B(datum: PELSlopeDatum, brauer_order: int) -> bool:
@@ -164,13 +171,7 @@ def theorem_checklist(datum: PELSlopeDatum) -> HypothesisReport:
     if not datum.tower.cm:
         raise NotCM("checklist only applies over a quadratic extension")
     hyp1 = hypersymmetric_verdict(datum).level is not VerdictLevel.NONE
-    kinds = {bp.kind for bp in datum.tower.base_places}
-    if kinds == {INERT}:
-        branch = SplittingBranch.INERT
-    elif kinds == {SPLIT} and condition_star(datum):
-        branch = SplittingBranch.SPLIT_WITH_STAR
-    else:
-        branch = SplittingBranch.FAILS
+    branch = _splitting_branch(datum)
     return HypothesisReport(
         hypersymmetric=hyp1,
         branch=branch,
