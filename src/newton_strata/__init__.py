@@ -31,7 +31,6 @@ from .polygon import (
     PolygonMeasures,
     as_slope,
     newton_point_average,
-    normalize,
 )
 from .strata import StrataPoset, bueltel_wedhorn, build_poset, enumerate_siegel, to_dot
 from .weil import CMPlaceSlopes, WeilExponents, valuation_ratios, weil_parameters
@@ -69,7 +68,6 @@ __all__ = [
     "mu_ordinary",
     "multiplicity_from_dims",
     "newton_point_average",
-    "normalize",
     "restrict",
     "subfield_transfer",
     "theorem_checklist",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     IncomparableEndpoints,
@@ -49,10 +49,6 @@ def parse_slope(text: str) -> Fraction:
     if not isinstance(text, str) or not _SLOPE_RE.match(text):
         raise SchemaError(f"slope string must look like 'a' or 'a/b', got {text!r}")
     return as_slope(Fraction(text))
-
-
-def format_slope(s: Fraction) -> str:
-    return str(s)
 
 
 @dataclass(frozen=True)
@@ -155,10 +151,10 @@ class NewtonPolygon:
         """Exponent notation, e.g. ``(0)^1 (1/2)^3``; the empty polygon is ∅."""
         if not self.parts:
             return "∅"
-        return " ".join(f"({format_slope(s)})^{m}" for s, m in self.parts)
+        return " ".join(f"({s})^{m}" for s, m in self.parts)
 
     def to_json(self) -> list:
-        return [[format_slope(s), m] for s, m in self.parts]
+        return [[str(s), m] for s, m in self.parts]
 
     @classmethod
     def from_json(cls, data) -> "NewtonPolygon":
@@ -177,11 +173,6 @@ class NewtonPolygon:
 
 
 EMPTY = NewtonPolygon(())
-
-
-def normalize(parts: Iterable[tuple]) -> NewtonPolygon:
-    """Build the canonical polygon from raw (slope, multiplicity) pairs."""
-    return NewtonPolygon(tuple(parts))
 
 
 def path_dominates(

@@ -16,7 +16,7 @@ from math import lcm
 
 from .errors import SchemaError, SlopesDoNotPair, require_int
 from .pel import _check_name, _expect_keys
-from .polygon import as_slope, format_slope, parse_slope
+from .polygon import as_slope, parse_slope
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def exponents_to_json(slopes: CMPlaceSlopes, exponents: WeilExponents) -> dict:
             {
                 "w": w,
                 "wbar": wbar,
-                "slope": format_slope(slope),
+                "slope": str(slope),
                 "m": m,
                 "n": n,
                 "inert_compatible": m == n,

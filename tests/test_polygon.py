@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from newton_strata import EMPTY, NewtonPolygon, newton_point_average, normalize
+from newton_strata import EMPTY, NewtonPolygon, newton_point_average
 from newton_strata.errors import (
     IncomparableEndpoints,
     NonPositiveMultiplicity,
@@ -34,33 +34,33 @@ def polygons(draw, min_parts=0, max_parts=5, max_mult=6):
 
 
 def test_normalize_merges_and_sorts():
-    p = normalize([(F(1, 2), 2), (F(0), 1), (F(1, 2), 1)])
+    p = NewtonPolygon([(F(1, 2), 2), (F(0), 1), (F(1, 2), 1)])
     assert p.parts == ((F(0), 1), (F(1, 2), 3))
 
 
 def test_normalize_empty_is_legal():
-    assert normalize([]) == EMPTY
+    assert NewtonPolygon([]) == EMPTY
     assert EMPTY.parts == ()
 
 
 def test_normalize_reduces_fractions():
-    assert normalize([("3/6", 2)]).parts == ((F(1, 2), 2),)
+    assert NewtonPolygon([("3/6", 2)]).parts == ((F(1, 2), 2),)
 
 
 def test_normalize_rejects_out_of_range():
     with pytest.raises(SlopeOutOfRange):
-        normalize([(F(3, 2), 1)])
+        NewtonPolygon([(F(3, 2), 1)])
     with pytest.raises(SlopeOutOfRange):
-        normalize([(F(-1, 2), 1)])
+        NewtonPolygon([(F(-1, 2), 1)])
 
 
 def test_normalize_rejects_bad_multiplicity():
     with pytest.raises(NonPositiveMultiplicity):
-        normalize([(F(1, 2), 0)])
+        NewtonPolygon([(F(1, 2), 0)])
     with pytest.raises(NonPositiveMultiplicity):
-        normalize([(F(1, 2), -3)])
+        NewtonPolygon([(F(1, 2), -3)])
     with pytest.raises(SchemaError):
-        normalize([(F(1, 2), 1.5)])
+        NewtonPolygon([(F(1, 2), 1.5)])
 
 
 @given(polygons())
