@@ -68,10 +68,7 @@ class HypothesisReport:
 
 
 def is_balanced(datum: PELSlopeDatum) -> bool:
-    """Same slope count at every place and one common multiplicity throughout.
-
-    Balanced data is symmetric with a single multiplicity value.
-    """
+    """Symmetric, with one common multiplicity throughout."""
     if not is_B_symmetric(datum):
         return False
     return len({m for _, p in datum.polygons for m in p.multiplicities()}) == 1

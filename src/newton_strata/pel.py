@@ -249,12 +249,9 @@ def multiplicity_from_dims(
     Divides the component dimension by local_degree * b_rank_sqrt and requires
     the division to be exact; a remainder signals inconsistent input data.
     """
-    for label, value in (
-        ("dim_component", dim_component),
-        ("local_degree", local_degree),
-        ("b_rank_sqrt", b_rank_sqrt),
-    ):
-        require_int(value, f"{label} must be a positive integer", 1)
+    require_int(dim_component, "dim_component must be a positive integer", 1)
+    require_int(local_degree, "local_degree must be a positive integer", 1)
+    require_int(b_rank_sqrt, "b_rank_sqrt must be a positive integer", 1)
     denom = local_degree * b_rank_sqrt
     quotient, remainder = divmod(dim_component, denom)
     if remainder:

@@ -17,14 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import (
-    BoundExceeded,
-    MixedEndpoints,
-    NoUniqueExtreme,
-    RangeError,
-    SchemaError,
-    require_int,
-)
+from .errors import BoundExceeded, MixedEndpoints, NoUniqueExtreme, RangeError, SchemaError
+from .errors import require_int
 from .polygon import EMPTY, NewtonPolygon, path_value
 
 DEFAULT_MAX_G = 12
