@@ -186,13 +186,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_PARSER = _build_parser()
-
-
 def execute(argv: Sequence[str], stdin: bytes | Callable[[], bytes] = b"") -> tuple[int, bytes]:
     """Run one invocation; returns (exit_code, output_bytes)."""
     try:
-        args = _PARSER.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
         command = COMMANDS[args.command]
         input_bytes = b""
         parsed = None
