@@ -29,7 +29,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_json(input_bytes: bytes):
     try:
         return json.loads(input_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too many digits
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
 
 

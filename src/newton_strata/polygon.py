@@ -48,7 +48,7 @@ def parse_slope(text: str) -> Fraction:
     """Parse the wire form of a slope: ``"a"`` or ``"a/b"`` with a, b decimal."""
     if not isinstance(text, str) or not _SLOPE_RE.match(text):
         raise SchemaError(f"slope string must look like 'a' or 'a/b', got {text!r}")
-    return as_slope(Fraction(text))
+    return as_slope(text)
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,28 @@ def test_unknown_flags_and_commands_exit_2():
     assert run("bw", "--n", "4", "--r", "3")[0] == 2  # r > n/2
 
 
+def _datum_with(slope: str, mult: str) -> bytes:
+    return (
+        '{"cm": false, "places": [{"name": "v", "kind": "inert", "above": '
+        f'[{{"name": "v", "polygon": [["{slope}", {mult}]]}}]}}]}}'
+    ).encode()
+
+
+@pytest.mark.parametrize(
+    "stdin",
+    [
+        _datum_with("1/" + "7" * 5000, "1"),  # slope past the int-string digit limit
+        b"[" * 100000,  # nesting deeper than the JSON decoder's recursion limit
+        _datum_with("1/2", "1" + "0" * 5000),  # integer literal past the digit limit
+    ],
+    ids=["huge-slope", "deep-json", "huge-int"],
+)
+def test_oversized_input_exits_2(stdin):
+    code, out = run("verdict", stdin=stdin)
+    assert code == 2
+    assert out.startswith(b"error: ") and out.count(b"\n") == 1 and out.endswith(b"\n")
+
+
 def test_missing_input_file_exits_2(tmp_path):
     code, out = run("verdict", "--input", str(tmp_path / "absent.json"))
     assert code == 2
