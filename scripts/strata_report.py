@@ -24,7 +24,7 @@ def main() -> int:
 
     print(f"{'g':>3} {'nodes':>6} {'covers':>7} {'chain':>6}  basic / ordinary")
     for g in range(args.max_g + 1):
-        poset = build_poset(enumerate_siegel(g))
+        poset = build_poset(enumerate_siegel(g, max_g=args.max_g))
         n = len(poset.nodes)
         is_chain = len(poset.relation) == n * (n + 1) // 2
         basic = poset.nodes[poset.basic_index].exponent_str()

@@ -16,6 +16,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -26,9 +28,6 @@ from .errors import (
     SlopeOutOfRange,
     require_int,
 )
-
-# A slope is just a Fraction that has passed as_slope().
-Slope = Fraction
 
 _SLOPE_RE = re.compile(r"^(0|[1-9][0-9]*)(/([1-9][0-9]*))?$")
 
@@ -135,15 +134,22 @@ class NewtonPolygon:
     def leq(self, other: "NewtonPolygon") -> bool:
         """Partial order: True iff this path lies pointwise on or above ``other``.
 
-        Only defined for polygons with equal height and dim; raises
-        :class:`IncomparableEndpoints` otherwise.
+        Both paths are swept by :func:`path_heights` on the union of their vertex
+        abscissae; the comparison stops at the first point where this path lies
+        below, and the last point gives the endpoint check.  Raises
+        :class:`IncomparableEndpoints` unless height and dim are equal.
         """
-        a, b = self.measures(), other.measures()
-        if a.height != b.height or a.dim != b.dim:
-            raise IncomparableEndpoints(
-                f"endpoints ({a.height}, {a.dim}) vs ({b.height}, {b.dim})"
-            )
-        return path_dominates(a.breakpoints, b.breakpoints)
+        mine = list(accumulate(self.multiplicities()))
+        theirs = list(accumulate(other.multiplicities()))
+        if mine[-1:] == theirs[-1:]:  # equal heights
+            grid = sorted({*mine, *theirs})
+            scale = lcm(*(s.denominator for s, _ in self.parts + other.parts))
+            pairs = list(zip(*(path_heights(p.parts, grid, scale) for p in (self, other))))
+            if not pairs or pairs[-1][0] == pairs[-1][1]:  # equal dims
+                return all(a >= b for a, b in pairs)
+        raise IncomparableEndpoints(
+            f"endpoints ({self.height}, {self.dim}) vs ({other.height}, {other.dim})"
+        )
 
     # -- rendering and wire form ----------------------------------------------
 
@@ -175,27 +181,24 @@ class NewtonPolygon:
 EMPTY = NewtonPolygon(())
 
 
-def path_dominates(
-    upper: Sequence[tuple[Fraction, Fraction]],
-    lower: Sequence[tuple[Fraction, Fraction]],
-) -> bool:
-    """True iff the piecewise-linear path ``upper`` is >= ``lower`` pointwise.
+def path_heights(parts, xs, scale: int):
+    """Yield ``scale`` times the path's height at each abscissa of ``xs``.
 
-    Both paths must share first and last vertices.  Piecewise linearity means
-    checking at the union of breakpoint abscissae suffices.
+    ``xs`` is an ascending grid of integers in [0, height] and ``scale`` a
+    multiple of every slope denominator, so every value is an int.  One pass
+    over ``parts`` interpolates along the slope as y0 + slope * (x - x0), in
+    O(len(parts) + len(xs)) work however large the height.
     """
-    xs = sorted({x for x, _ in upper} | {x for x, _ in lower})
-    return all(path_value(upper, x) >= path_value(lower, x) for x in xs)
-
-
-def path_value(points: Sequence[tuple[Fraction, Fraction]], x: Fraction) -> Fraction:
-    """Evaluate the piecewise-linear path at abscissa ``x``."""
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if x0 <= x <= x1:
-            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    if points and x == points[0][0]:
-        return points[0][1]
-    raise IncomparableEndpoints(f"abscissa {x} outside path")
+    pending = iter(parts)
+    x0 = x1 = y0 = rise = 0
+    for x in xs:
+        while x > x1:
+            y0 += rise * (x1 - x0)
+            x0 = x1
+            slope, mult = next(pending)
+            rise = slope.numerator * (scale // slope.denominator)
+            x1 += mult
+        yield y0 + rise * (x - x0)
 
 
 def newton_point_average(

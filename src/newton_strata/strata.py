@@ -13,13 +13,18 @@ forced by the source description, so both are exposed).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from heapq import heappop, heappush
+from itertools import accumulate
 from math import lcm
+from operator import and_, or_
 
 from .errors import BoundExceeded, MixedEndpoints, NoUniqueExtreme, RangeError, SchemaError
 from .errors import require_int
-from .polygon import EMPTY, NewtonPolygon, path_value
+from .polygon import NewtonPolygon, path_heights
 
 DEFAULT_MAX_G = 12
 
@@ -32,8 +37,8 @@ class StrataPoset:
     """Finite poset of same-endpoint polygons with its extremes identified.
 
     ``relation`` holds every ordered pair (i, j) with node i <= node j,
-    including the diagonal.  ``cover_edges`` is the transitive reduction,
-    oriented small -> large.
+    including the diagonal, read off one bitset per node.  ``cover_edges`` is
+    the transitive reduction, oriented small -> large, in ascending order.
     """
 
     nodes: tuple[NewtonPolygon, ...]
@@ -53,21 +58,19 @@ def enumerate_siegel(g: int, max_g: int = DEFAULT_MAX_G) -> list[NewtonPolygon]:
     its slope denominator, so the polygons are assembled from half-profiles of
     slopes below 1/2 (mirrored through the involution) plus an even block at
     slope 1/2.  Output is deduplicated and in canonical order: lexicographic
-    on breakpoint lists, refined to a minimal-first topological order.
+    on breakpoint lists, refined to a minimal-first topological order of the
+    "lies on or above" relation (see :func:`_canonical_order`).
     """
     require_int(g, "g must be a nonnegative integer", 0)
     if g > max_g:
         raise BoundExceeded(f"g={g} exceeds the configured bound {max_g}")
-    if g == 0:
-        return [EMPTY]
     polygons = set()
-    half = Fraction(1, 2)
     for mid_mult in range(0, 2 * g + 1, 2):
         per_side = (2 * g - mid_mult) // 2
         for profile in _half_profiles(per_side):
             parts = list(profile)
             if mid_mult:
-                parts.append((half, mid_mult))
+                parts.append((Fraction(1, 2), mid_mult))
             parts.extend((1 - s, m) for s, m in profile)
             polygons.add(NewtonPolygon(tuple(parts)))
     return _canonical_order(polygons)
@@ -75,14 +78,8 @@ def enumerate_siegel(g: int, max_g: int = DEFAULT_MAX_G) -> list[NewtonPolygon]:
 
 def _half_profiles(height: int) -> list[tuple[tuple[Fraction, int], ...]]:
     """Ascending multisets of (slope < 1/2, mult) with denominator | mult and total ``height``."""
-    half = Fraction(1, 2)
     candidates = sorted(
-        {
-            Fraction(a, b)
-            for b in range(1, height + 1)
-            for a in range(0, b)
-            if Fraction(a, b) < half
-        }
+        {Fraction(a, b) for b in range(1, height + 1) for a in range(b) if 2 * a < b}
     )
     profiles: list[tuple[tuple[Fraction, int], ...]] = []
 
@@ -104,77 +101,77 @@ def _half_profiles(height: int) -> list[tuple[tuple[Fraction, int], ...]]:
     return profiles
 
 
-def _dominance_table(paths) -> list[tuple[int, ...]]:
-    """Integer-scaled path values on the common breakpoint grid.
+def _up_sets(nodes) -> list[int]:
+    """Bit j of ``up[i]`` is set iff nodes[i] <= nodes[j]; the one place nodes are compared.
 
-    All breakpoints of every path are grid points, so two paths compare
-    pointwise iff their value vectors compare componentwise.  Values are
-    rescaled to integers to keep the quadratic comparison pass cheap.
+    Each node (all share (height, dim)) is swept once on the union of all vertex
+    abscissae, heights scaled to integers by one common factor, so ``up[i]`` is
+    the AND over grid columns of the nodes no higher than node i there.
     """
-    grid = sorted({x for path in paths for x, _ in path})
-    rows = [[path_value(path, x) for x in grid] for path in paths]
-    scale = lcm(1, *(v.denominator for row in rows for v in row))
-    return [tuple(int(v * scale) for v in row) for row in rows]
+    grid = sorted({x for node in nodes for x in accumulate(node.multiplicities())})
+    scale = lcm(*(s.denominator for node in nodes for s, _ in node.parts))
+    up = [(1 << len(nodes)) - 1] * len(nodes)
+    for column in zip(*(path_heights(node.parts, grid, scale) for node in nodes)):
+        no_higher, mask = {}, 0
+        for i in sorted(range(len(nodes)), key=column.__getitem__):
+            mask |= 1 << i
+            no_higher[column[i]] = mask
+        up = [u & no_higher[y] for u, y in zip(up, column)]
+    return up
 
 
-def _dominates(row_hi: tuple[int, ...], row_lo: tuple[int, ...]) -> bool:
-    return all(a >= b for a, b in zip(row_hi, row_lo))
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _canonical_order(polygons) -> list[NewtonPolygon]:
+    """Lexicographic order on breakpoints, refined by Kahn's algorithm on :func:`_up_sets`.
+
+    A min-heap places the smallest lexicographic index among the ready nodes next.
+    """
     nodes = sorted(set(polygons), key=lambda p: p.measures().breakpoints)
-    table = _dominance_table([p.measures().breakpoints for p in nodes])
-    n = len(nodes)
-    preds = [
-        {j for j in range(n) if j != i and _dominates(table[j], table[i])}
-        for i in range(n)
-    ]
-    done: set[int] = set()
-    order: list[int] = []
-    while len(order) < n:
-        ready = min(i for i in range(n) if i not in done and preds[i] <= done)
-        order.append(ready)
-        done.add(ready)
-    return [nodes[i] for i in order]
+    above = [mask & ~(1 << i) for i, mask in enumerate(_up_sets(nodes))]
+    waiting = Counter(j for mask in above for j in _bits(mask))
+    ready = [j for j in range(len(nodes)) if not waiting[j]]
+    order = []
+    while ready:
+        i = heappop(ready)
+        order.append(nodes[i])
+        for j in _bits(above[i]):
+            waiting[j] -= 1
+            if not waiting[j]:
+                heappush(ready, j)
+    return order
 
 
 def build_poset(nodes) -> StrataPoset:
     """Compute the order relation, covering edges, and extremes for ``nodes``.
 
     Nodes must be nonempty and share (height, dim); duplicates collapse.
-    Raises if the minimum or maximum is not unique.
+    Raises if the minimum or maximum is not unique.  The covers of i are its
+    strict successors that succeed no other strict successor of i.
     """
-    deduped: list[NewtonPolygon] = []
-    for node in nodes:
-        if node not in deduped:
-            deduped.append(node)
+    deduped = list(dict.fromkeys(nodes))
     if not deduped:
         raise SchemaError("poset needs at least one node")
-    measures = [p.measures() for p in deduped]
-    endpoints = {(m.height, m.dim) for m in measures}
+    endpoints = {(p.height, p.dim) for p in deduped}
     if len(endpoints) != 1:
         raise MixedEndpoints(f"nodes mix endpoints: {sorted(endpoints)}")
-    n = len(deduped)
-    table = _dominance_table([m.breakpoints for m in measures])
-    relation = frozenset(
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if _dominates(table[i], table[j])
-    )
-    minima = [i for i in range(n) if all((i, j) in relation for j in range(n))]
-    maxima = [j for j in range(n) if all((i, j) in relation for i in range(n))]
+    up = _up_sets(deduped)
+    relation = frozenset((i, j) for i, mask in enumerate(up) for j in _bits(mask))
+    minima = [i for i, mask in enumerate(up) if mask == (1 << len(up)) - 1]
+    maxima = list(_bits(reduce(and_, up)))
     if len(minima) != 1 or len(maxima) != 1:
-        raise NoUniqueExtreme(
-            f"found {len(minima)} minima and {len(maxima)} maxima"
-        )
-    strict = {(i, j) for (i, j) in relation if i != j}
+        raise NoUniqueExtreme(f"found {len(minima)} minima and {len(maxima)} maxima")
+    strict = [mask & ~(1 << i) for i, mask in enumerate(up)]
     covers = tuple(
-        sorted(
-            (i, j)
-            for (i, j) in strict
-            if not any((i, k) in strict and (k, j) in strict for k in range(n))
-        )
+        (i, j)
+        for i, mask in enumerate(strict)
+        for j in _bits(mask & ~reduce(or_, (strict[k] for k in _bits(mask)), 0))
     )
     return StrataPoset(
         nodes=tuple(deduped),

@@ -69,6 +69,60 @@ def mu_ordinary_by_slopes(sig: SignatureDatum) -> dict[str, NewtonPolygon]:
     return result
 
 
+def breakpoints(poly: NewtonPolygon) -> list[tuple[Fraction, Fraction]]:
+    """The convex path of ``poly`` as its vertex list from (0, 0)."""
+    x, y = Fraction(0), Fraction(0)
+    points = [(x, y)]
+    for slope, mult in poly.parts:
+        x, y = x + mult, y + slope * mult
+        points.append((x, y))
+    return points
+
+
+def path_value(points, x) -> Fraction:
+    """Evaluate the piecewise-linear path through ``points`` at abscissa ``x``."""
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x0 <= x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    if points and x == points[0][0]:
+        return points[0][1]
+    raise ValueError(f"abscissa {x} outside path")
+
+
+def path_dominates(upper, lower) -> bool:
+    """True iff the piecewise-linear path ``upper`` is >= ``lower`` pointwise.
+
+    Both paths must share first and last vertices.  Piecewise linearity means
+    checking at the union of breakpoint abscissae suffices.
+    """
+    xs = sorted({x for x, _ in upper} | {x for x, _ in lower})
+    return all(path_value(upper, x) >= path_value(lower, x) for x in xs)
+
+
+def reference_leq(p: NewtonPolygon, q: NewtonPolygon) -> bool:
+    """``p.leq(q)`` for polygons with equal endpoints, by Fraction interpolation."""
+    return path_dominates(breakpoints(p), breakpoints(q))
+
+
+def merge_parts(p: NewtonPolygon, i: int, j: int) -> NewtonPolygon:
+    """Replace parts i < j by one part at their weighted-average slope.
+
+    Preserves (height, dim) and always moves up the path, i.e. down the order.
+    """
+    (s1, m1), (s2, m2) = p.parts[i], p.parts[j]
+    rest = [part for k, part in enumerate(p.parts) if k not in (i, j)]
+    merged = ((s1 * m1 + s2 * m2) / (m1 + m2), m1 + m2)
+    return NewtonPolygon(tuple(rest + [merged]))
+
+
+def random_merge(rng: random.Random, p: NewtonPolygon) -> NewtonPolygon:
+    """Merge random pairs of parts of ``p`` a random number of times (possibly none)."""
+    for _ in range(rng.randint(0, len(p.parts) - 1)):
+        i, j = sorted(rng.sample(range(len(p.parts)), 2))
+        p = merge_parts(p, i, j)
+    return p
+
+
 def lattice_path_polygons(g: int) -> set[NewtonPolygon]:
     """Self-dual polygons of height 2g, dim g via convex integral lattice paths.
 

@@ -15,7 +15,7 @@ from newton_strata.errors import (
     SlopeOutOfRange,
 )
 
-from oracles import random_polygon
+from oracles import breakpoints, merge_parts, random_merge, random_polygon, reference_leq
 
 slopes = st.integers(1, 10).flatmap(
     lambda den: st.integers(0, den).map(lambda num: F(num, den))
@@ -157,22 +157,11 @@ def test_leq_rejects_mixed_endpoints():
         NewtonPolygon([(0, 2), (1, 2)]).leq(NewtonPolygon([("1/4", 4)]))
 
 
-def _merge_parts(p, i, j):
-    """Replace parts i < j by one part at their weighted-average slope.
-
-    Preserves (height, dim) and always moves up the path, i.e. down the order.
-    """
-    (s1, m1), (s2, m2) = p.parts[i], p.parts[j]
-    rest = [part for k, part in enumerate(p.parts) if k not in (i, j)]
-    merged = ((s1 * m1 + s2 * m2) / (m1 + m2), m1 + m2)
-    return NewtonPolygon(tuple(rest + [merged]))
-
-
 @given(polygons(min_parts=2), st.data())
 def test_leq_merging_parts_moves_down(p, data):
     i = data.draw(st.integers(0, len(p.parts) - 2))
     j = data.draw(st.integers(i + 1, len(p.parts) - 1))
-    q = _merge_parts(p, i, j)
+    q = merge_parts(p, i, j)
     assert q.leq(p)
     if q != p:
         assert not p.leq(q)  # antisymmetry
@@ -180,9 +169,9 @@ def test_leq_merging_parts_moves_down(p, data):
 
 @given(polygons(min_parts=3), st.data())
 def test_leq_transitive_on_merge_chain(p, data):
-    q = _merge_parts(p, 0, 1)
+    q = merge_parts(p, 0, 1)
     if len(q.parts) >= 2:
-        r = _merge_parts(q, 0, len(q.parts) - 1)
+        r = merge_parts(q, 0, len(q.parts) - 1)
         assert q.leq(p) and r.leq(q) and r.leq(p)
 
 
@@ -191,6 +180,30 @@ def test_leq_basic_polygon_is_minimal(p):
     m = p.measures()
     basic = NewtonPolygon([(m.dim / m.height, m.height)])
     assert basic.leq(p)
+
+
+def test_leq_matches_reference_on_random_pairs():
+    # pairs of merges of one random polygon share endpoints, often have
+    # fractional heights and are often incomparable
+    rng = random.Random(14_142)
+    verdicts = set()
+    fractional = 0
+    for _ in range(400):
+        p = random_polygon(rng, min_parts=2, max_parts=6)
+        q, r = random_merge(rng, p), random_merge(rng, p)
+        for a, b in ((p, q), (q, p), (q, r), (r, q)):
+            assert a.leq(b) is reference_leq(a, b)
+        verdicts.add((q.leq(r), r.leq(q)))
+        fractional += any(y.denominator > 1 for _, y in breakpoints(q))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+    assert fractional > 100
+
+
+def test_leq_work_is_bounded_by_parts_not_height():
+    straight = NewtonPolygon([("1/2", 10**12)])
+    broken = NewtonPolygon([(0, 5 * 10**11), (1, 5 * 10**11)])
+    assert straight.leq(broken) is True
+    assert broken.leq(straight) is False
 
 
 # -- newton_point_average -----------------------------------------------------------

@@ -1,4 +1,7 @@
+import random
+from fractions import Fraction
 from itertools import combinations, permutations
+from math import ceil
 
 import pytest
 
@@ -18,7 +21,14 @@ from newton_strata.errors import (
     SchemaError,
 )
 
-from oracles import lattice_path_polygons
+from oracles import (
+    breakpoints,
+    lattice_path_polygons,
+    path_value,
+    random_merge,
+    random_polygon,
+    reference_leq,
+)
 
 P = NewtonPolygon
 
@@ -144,6 +154,63 @@ def _transitive_closure(edges, n):
                     reach.add((i, j))
                     changed = True
     return reach
+
+
+def _oort_rank(node, g):
+    """#{(x, y) in Z^2 : 0 < x <= g, node(x) <= y < x/2}, Oort's codimension of the stratum."""
+    path = breakpoints(node)
+    return sum(max(0, ceil(Fraction(x, 2)) - ceil(path_value(path, x))) for x in range(1, g + 1))
+
+
+@pytest.mark.parametrize("g", range(1, 10))
+def test_covers_raise_oort_rank_by_one(g):
+    # Oort (2000): the symmetric Newton strata are catenary, so the covers are
+    # exactly the comparable pairs one rank apart
+    poset = build_poset(enumerate_siegel(g))
+    rank = [_oort_rank(node, g) for node in poset.nodes]
+    assert rank[poset.basic_index] == 0
+    assert rank[poset.ordinary_index] == (g + 1) ** 2 // 4
+    paths = [breakpoints(node) for node in poset.nodes]
+    heights = [[path_value(path, x) for x in range(2 * g + 1)] for path in paths]
+    comparable = [
+        (i, j)
+        for i, hi in enumerate(heights)
+        for j, hj in enumerate(heights)
+        if all(a >= b for a, b in zip(hi, hj))
+    ]
+    assert set(poset.cover_edges) == {(i, j) for i, j in comparable if rank[j] == rank[i] + 1}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_poset_matches_brute_force_off_the_siegel_grid(seed):
+    # merges of one random polygon share its endpoints and have fractional
+    # heights; the polygon itself is the maximum and its one-part merge the minimum
+    rng = random.Random(seed)
+    top = random_polygon(rng, min_parts=3, max_parts=6)
+    bottom = P([(top.dim / top.height, top.height)])
+    family = [top, bottom] + [random_merge(rng, top) for _ in range(14)]
+    poset = build_poset(family)
+    nodes = poset.nodes
+    n = len(nodes)
+    assert nodes == tuple(dict.fromkeys(family))
+    relation = {(i, j) for i in range(n) for j in range(n) if reference_leq(nodes[i], nodes[j])}
+    assert poset.relation == relation
+    strict = {(i, j) for i, j in relation if i != j}
+    reduction = {
+        (i, j)
+        for i, j in strict
+        if not any((i, k) in strict and (k, j) in strict for k in range(n))
+    }
+    assert poset.cover_edges == tuple(sorted(reduction))
+    assert nodes[poset.basic_index] == bottom and nodes[poset.ordinary_index] == top
+
+
+def test_poset_work_is_bounded_by_parts_not_height():
+    straight = P([("1/2", 10**12)])
+    broken = P([(0, 5 * 10**11), (1, 5 * 10**11)])
+    poset = build_poset([broken, straight])
+    assert poset.relation == {(0, 0), (1, 1), (1, 0)}
+    assert poset.cover_edges == ((1, 0),)
 
 
 def test_incomparable_synthesized_pair_has_no_extreme():
