@@ -26,7 +26,7 @@ def main() -> int:
     for g in range(args.max_g + 1):
         poset = build_poset(enumerate_siegel(g, max_g=args.max_g))
         n = len(poset.nodes)
-        is_chain = len(poset.relation) == n * (n + 1) // 2
+        is_chain = sum(mask.bit_count() for mask in poset.up) == n * (n + 1) // 2
         basic = poset.nodes[poset.basic_index].exponent_str()
         ordinary = poset.nodes[poset.ordinary_index].exponent_str()
         print(

@@ -13,12 +13,11 @@ forced by the source description, so both are exposed).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from math import lcm
 from operator import and_, or_
 
@@ -36,19 +35,23 @@ TIMES_R = "times_r"
 class StrataPoset:
     """Finite poset of same-endpoint polygons with its extremes identified.
 
-    ``relation`` holds every ordered pair (i, j) with node i <= node j,
-    including the diagonal, read off one bitset per node.  ``cover_edges`` is
-    the transitive reduction, oriented small -> large, in ascending order.
+    The order is stored only as bitsets: bit j of ``up[i]`` is set iff node
+    i <= node j (diagonal included); ``relation`` builds the pair set from them
+    on each access.  ``cover_edges`` is the transitive reduction, small -> large.
     """
 
     nodes: tuple[NewtonPolygon, ...]
-    relation: frozenset[tuple[int, int]]
+    up: tuple[int, ...]
     cover_edges: tuple[tuple[int, int], ...]
     basic_index: int
     ordinary_index: int
 
     def le(self, i: int, j: int) -> bool:
-        return (i, j) in self.relation
+        return bool(self.up[i] >> j & 1)
+
+    @property
+    def relation(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i, mask in enumerate(self.up) for j in _bits(mask))
 
 
 def enumerate_siegel(g: int, max_g: int = DEFAULT_MAX_G) -> list[NewtonPolygon]:
@@ -101,47 +104,62 @@ def _half_profiles(height: int) -> list[tuple[tuple[Fraction, int], ...]]:
     return profiles
 
 
-def _up_sets(nodes) -> list[int]:
-    """Bit j of ``up[i]`` is set iff nodes[i] <= nodes[j]; the one place nodes are compared.
+def _vertices(nodes) -> list[tuple[tuple[int, int], ...]]:
+    """Vertices after (0, 0) as (x, lcm * y), one lcm for all nodes; sorted as breakpoints are."""
+    scale = lcm(*(s.denominator for node in nodes for s, _ in node.parts))
+    return [
+        tuple(zip(accumulate(node.multiplicities()),
+                  accumulate(s.numerator * (scale // s.denominator) * m for s, m in node.parts)))
+        for node in nodes
+    ]
 
-    Each node (all share (height, dim)) is swept once on the union of all vertex
-    abscissae, heights scaled to integers by one common factor, so ``up[i]`` is
-    the AND over grid columns of the nodes no higher than node i there.
+
+def _up_sets(nodes) -> tuple[list[int], list[int]]:
+    """Bitsets ``up[i]`` = {j : nodes[i] <= nodes[j]} and ``down[i]`` = {j : nodes[j] <= nodes[i]}.
+
+    The one place nodes are compared.  Each node (all share (height, dim)) is
+    swept once on the union of all vertex abscissae, heights scaled to integers;
+    per grid column, ``up[i]`` keeps the nodes no higher than i, ``down[i]`` those no lower.
     """
     grid = sorted({x for node in nodes for x in accumulate(node.multiplicities())})
     scale = lcm(*(s.denominator for node in nodes for s, _ in node.parts))
-    up = [(1 << len(nodes)) - 1] * len(nodes)
+    everyone = (1 << len(nodes)) - 1
+    up, down = [everyone] * len(nodes), [everyone] * len(nodes)
     for column in zip(*(path_heights(node.parts, grid, scale) for node in nodes)):
-        no_higher, mask = {}, 0
+        no_higher, no_lower, mask = {}, {}, 0
         for i in sorted(range(len(nodes)), key=column.__getitem__):
+            no_lower.setdefault(column[i], everyone ^ mask)
             mask |= 1 << i
             no_higher[column[i]] = mask
         up = [u & no_higher[y] for u, y in zip(up, column)]
-    return up
+        down = [d & no_lower[y] for d, y in zip(down, column)]
+    return up, down
 
 
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int) -> list[int]:
+    """Ascending indices of the set bits of ``mask``, selected by its binary digits, low first."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)))
 
 
 def _canonical_order(polygons) -> list[NewtonPolygon]:
     """Lexicographic order on breakpoints, refined by Kahn's algorithm on :func:`_up_sets`.
 
-    A min-heap places the smallest lexicographic index among the ready nodes next.
+    A min-heap places the smallest lexicographic index among the ready nodes
+    next; a node waits for each of its strict predecessors.
     """
-    nodes = sorted(set(polygons), key=lambda p: p.measures().breakpoints)
-    above = [mask & ~(1 << i) for i, mask in enumerate(_up_sets(nodes))]
-    waiting = Counter(j for mask in above for j in _bits(mask))
-    ready = [j for j in range(len(nodes)) if not waiting[j]]
+    distinct = list(set(polygons))
+    nodes = [node for _, node in sorted(zip(_vertices(distinct), distinct))]
+    up, down = _up_sets(nodes)
+    waiting = [mask.bit_count() - 1 for mask in down]
+    ready = [j for j, w in enumerate(waiting) if not w]
     order = []
     while ready:
         i = heappop(ready)
         order.append(nodes[i])
-        for j in _bits(above[i]):
+        for j in _bits(up[i] ^ (1 << i)):
             waiting[j] -= 1
             if not waiting[j]:
                 heappush(ready, j)
@@ -149,7 +167,7 @@ def _canonical_order(polygons) -> list[NewtonPolygon]:
 
 
 def build_poset(nodes) -> StrataPoset:
-    """Compute the order relation, covering edges, and extremes for ``nodes``.
+    """Compute the order bitsets, covering edges, and extremes for ``nodes``.
 
     Nodes must be nonempty and share (height, dim); duplicates collapse.
     Raises if the minimum or maximum is not unique.  The covers of i are its
@@ -158,28 +176,21 @@ def build_poset(nodes) -> StrataPoset:
     deduped = list(dict.fromkeys(nodes))
     if not deduped:
         raise SchemaError("poset needs at least one node")
-    endpoints = {(p.height, p.dim) for p in deduped}
-    if len(endpoints) != 1:
-        raise MixedEndpoints(f"nodes mix endpoints: {sorted(endpoints)}")
-    up = _up_sets(deduped)
-    relation = frozenset((i, j) for i, mask in enumerate(up) for j in _bits(mask))
+    if len({vertices[-1:] for vertices in _vertices(deduped)}) != 1:
+        endpoints = sorted({(p.height, p.dim) for p in deduped})
+        raise MixedEndpoints(f"nodes mix endpoints: {endpoints}")
+    up, _ = _up_sets(deduped)
     minima = [i for i, mask in enumerate(up) if mask == (1 << len(up)) - 1]
-    maxima = list(_bits(reduce(and_, up)))
+    maxima = _bits(reduce(and_, up))
     if len(minima) != 1 or len(maxima) != 1:
         raise NoUniqueExtreme(f"found {len(minima)} minima and {len(maxima)} maxima")
-    strict = [mask & ~(1 << i) for i, mask in enumerate(up)]
+    strict = [mask ^ (1 << i) for i, mask in enumerate(up)]
     covers = tuple(
         (i, j)
         for i, mask in enumerate(strict)
-        for j in _bits(mask & ~reduce(or_, (strict[k] for k in _bits(mask)), 0))
+        for j in _bits(mask & ~reduce(or_, map(strict.__getitem__, _bits(mask)), 0))
     )
-    return StrataPoset(
-        nodes=tuple(deduped),
-        relation=relation,
-        cover_edges=covers,
-        basic_index=minima[0],
-        ordinary_index=maxima[0],
-    )
+    return StrataPoset(tuple(deduped), tuple(up), covers, minima[0], maxima[0])
 
 
 def bueltel_wedhorn(n: int, r: int, scaling: str = LITERAL) -> NewtonPolygon:

@@ -1,6 +1,9 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newton_strata import (
     PELSlopeDatum,
@@ -17,8 +20,10 @@ from newton_strata import (
     subfield_transfer,
     theorem_checklist,
 )
-from newton_strata.cli import execute
+from newton_strata.cli import COMMANDS, execute
 from newton_strata.hypersym import verdict_to_json
+
+from conftest import CORPUS
 
 DATUM_FILES = ["example-3-5.json", "example-3-6.json", "remark-1.json", "remark-2.json"]
 
@@ -178,6 +183,28 @@ def test_dot_output_matches_golden(corpus):
     assert out == (corpus / "golden" / "poset-g2.dot").read_bytes()
 
 
+# SHA-256 of `poset --g G --dot` for the rungs past the golden files, which
+# pins node order and covers up to the CLI's bound.
+DOT_DIGESTS = {
+    4: "123c3d56d07594a749873cbfa7fca77a16e78cb333811272808f8b308cde2b54",
+    5: "5977b4c09abc25e914e9172bec36071909b28fabee6a3d8e4851c1648ef98b01",
+    6: "605e105c3c1362ca7298be87d05230867bcdf682b7837f2c30dbbdebcecf8398",
+    7: "68741d5860f8f2af1b0a735b8e360114c81dc9f7071927359b1349ab7285e9ef",
+    8: "bbb3235c928fa96bdc50b8233aa7d17f8136250a2fded4c813f0ad1916467fd5",
+    9: "159d35da9a82cfc3cbb7c30f87cbe69d42697516dde21882c6ced4730f6f296f",
+    10: "7e7c2290bf53741dd5a97fc50608fd76a5450c9a685568369d9652d0460d4a9a",
+    11: "a034baf61aad2f1c2ded49df14404a310f6d30970974d31859a48a0b0669a0a7",
+    12: "8670fe8c141434b19fcff6ac2fbbfd6ff0d179de3cd11ce6771035b7cccdce08",
+}
+
+
+@pytest.mark.parametrize("g", sorted(DOT_DIGESTS))
+def test_dot_output_digest(g):
+    code, out = run("poset", "--g", str(g), "--dot")
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == DOT_DIGESTS[g]
+
+
 # -- exit codes ------------------------------------------------------------------------
 
 
@@ -274,3 +301,72 @@ def test_console_entry_point(corpus):
         capture_output=True,
     )
     assert proc.returncode == 2 and proc.stderr.startswith(b"error:")
+
+
+# -- fuzzing: every command, arbitrary stdin ---------------------------------------
+
+# Flags a command needs before it reads anything; the rest take only stdin.
+REQUIRED_FLAGS = {"poset": ["--g", "2"], "bw": ["--n", "4", "--r", "1"]}
+# Valid inputs per command (poset and bw read none); swapping one of their
+# subtrees gets past the top-level checks that reject almost every arbitrary tree.
+VALID_INPUTS = {
+    "muord": ["signature-3-5.json", "signature-3-6.json"],
+    "weil": ["weil-onethird.json"],
+}
+SCHEMA_KEYS = ["cm", "places", "name", "kind", "above", "polygon",
+               "d", "orbits", "f", "h", "pairs", "w", "wbar", "slope"]
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(["split", "inert", "0", "1", "1/2", "1/3", "2/3", "u", "v"])
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=4), children, max_size=5),
+    max_leaves=24,
+)
+
+
+def _subtree_paths(tree, path=()):
+    """Key/index paths to every node of a JSON tree, the root's () included."""
+    yield path
+    if isinstance(tree, (dict, list)):
+        for key, child in tree.items() if isinstance(tree, dict) else enumerate(tree):
+            yield from _subtree_paths(child, (*path, key))
+
+
+def _replace(tree, path, new):
+    if not path:
+        return new
+    copy = dict(tree) if isinstance(tree, dict) else list(tree)
+    copy[path[0]] = _replace(tree[path[0]], path[1:], new)
+    return copy
+
+
+def _fuzz_stdin(command):
+    """Arbitrary bytes, arbitrary JSON trees, or a valid input with one subtree swapped."""
+    docs = [json.loads((CORPUS / name).read_text()) for name in VALID_INPUTS.get(command, DATUM_FILES)]
+    swapped = st.sampled_from(docs).flatmap(lambda doc: st.builds(
+        _replace, st.just(doc), st.sampled_from(list(_subtree_paths(doc))), JSON_LEAVES | JSON_TREES
+    ))
+    return st.binary(max_size=200) | (JSON_TREES | swapped).map(lambda tree: json.dumps(tree).encode())
+
+
+FUZZ_STDIN = {command: _fuzz_stdin(command) for command in COMMANDS}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), text=st.booleans())
+def test_fuzzed_stdin_exits_0_or_2_with_stable_bytes(command, data, text):
+    stdin = data.draw(FUZZ_STDIN[command], label="stdin")
+    argv = [command, *REQUIRED_FLAGS.get(command, []), *(["--format", "text"] if text else [])]
+    code, out = execute(argv, stdin=stdin)
+    assert code in (0, 2), out
+    if code == 2:
+        assert out.startswith(b"error: ") and out.endswith(b"\n") and out.count(b"\n") == 1
+    assert execute(argv, stdin=stdin) == (code, out)

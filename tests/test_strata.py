@@ -20,6 +20,7 @@ from newton_strata.errors import (
     RangeError,
     SchemaError,
 )
+from newton_strata.strata import _up_sets, _vertices
 
 from oracles import (
     breakpoints,
@@ -185,10 +186,8 @@ def test_covers_raise_oort_rank_by_one(g):
 def test_poset_matches_brute_force_off_the_siegel_grid(seed):
     # merges of one random polygon share its endpoints and have fractional
     # heights; the polygon itself is the maximum and its one-part merge the minimum
-    rng = random.Random(seed)
-    top = random_polygon(rng, min_parts=3, max_parts=6)
-    bottom = P([(top.dim / top.height, top.height)])
-    family = [top, bottom] + [random_merge(rng, top) for _ in range(14)]
+    family = _merge_family(seed)
+    top, bottom = family[:2]
     poset = build_poset(family)
     nodes = poset.nodes
     n = len(nodes)
@@ -203,6 +202,59 @@ def test_poset_matches_brute_force_off_the_siegel_grid(seed):
     }
     assert poset.cover_edges == tuple(sorted(reduction))
     assert nodes[poset.basic_index] == bottom and nodes[poset.ordinary_index] == top
+
+
+def _merge_family(seed):
+    """A seeded same-endpoint family: a random polygon, its one-part merge, random merges."""
+    rng = random.Random(seed)
+    top = random_polygon(rng, min_parts=3, max_parts=6)
+    bottom = P([(top.dim / top.height, top.height)])
+    return [top, bottom] + [random_merge(rng, top) for _ in range(14)]
+
+
+@pytest.mark.parametrize("g", range(7))
+def test_le_returns_bool_objects_and_matches_relation(g):
+    poset = build_poset(enumerate_siegel(g))
+    n = len(poset.nodes)
+    answers = {(i, j): poset.le(i, j) for i in range(n) for j in range(n)}
+    assert all(answer is True or answer is False for answer in answers.values())
+    assert poset.relation == {pair for pair, answer in answers.items() if answer}
+    assert all(answers[i, j] == poset.nodes[i].leq(poset.nodes[j]) for i, j in answers)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_down_sets_are_the_transpose_of_the_up_sets(seed):
+    family = list(dict.fromkeys(_merge_family(seed)))
+    up, down = _up_sets(family)
+    n = len(family)
+    assert len(up) == len(down) == n
+    for i in range(n):
+        for j in range(n):
+            assert (up[i] >> j & 1) == (down[j] >> i & 1) == reference_leq(family[i], family[j])
+    assert all(mask < 1 << n for mask in up + down)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_integer_vertices_sort_like_fraction_breakpoints(seed):
+    # mixed slope denominators up to 12, arbitrary endpoints, plus a merge family
+    rng = random.Random(seed)
+    family = list({random_polygon(rng, max_denominator=12) for _ in range(40)})
+    family += [p for p in dict.fromkeys(_merge_family(seed)) if p not in family]
+    by_fraction = sorted(family, key=lambda p: p.measures().breakpoints)
+    by_integer = [p for _, p in sorted(zip(_vertices(family), family))]
+    assert by_integer == by_fraction
+    assert len(set(_vertices(family))) == len(family)
+
+
+def test_mixed_dims_at_equal_height_are_rejected_with_fraction_endpoints():
+    with pytest.raises(MixedEndpoints) as info:
+        build_poset([P([(0, 1), (1, 1)]), P([(0, 2)])])
+    assert str(info.value) == "nodes mix endpoints: [(2, Fraction(0, 1)), (2, Fraction(1, 1))]"
+    with pytest.raises(MixedEndpoints) as info:
+        build_poset([P([("1/2", 2)]), P([("1/3", 3)]), P([("1/2", 4)])])
+    assert str(info.value) == (
+        "nodes mix endpoints: [(2, Fraction(1, 1)), (3, Fraction(1, 1)), (4, Fraction(2, 1))]"
+    )
 
 
 def test_poset_work_is_bounded_by_parts_not_height():
